@@ -521,28 +521,61 @@ func BenchmarkEMFitSmoothed(b *testing.B) {
 	}
 }
 
-// BenchmarkReproduce measures time-series reproduction (Eq. 7) over a small
-// corpus.
+// BenchmarkReproduce measures time-series reproduction (Eq. 7) on one
+// worker. "small" is an 8×10 bulk vocabulary where every pair is kept. The
+// "bulk" cases are paper-shaped: a 1500×1500 bulk vocabulary whose
+// unfiltered pairs far outnumber the pairs the §VI reliability filter keeps,
+// reproduced unfiltered and with the filter applied in the merge
+// (ReproduceFiltered, as the pipeline does). pairs/op is the number of pair
+// series the call returns.
 func BenchmarkReproduce(b *testing.B) {
-	ds, _, err := micgen.Generate(micgen.Config{
+	bench := func(b *testing.B, ds *mic.Dataset, reproduce func([]*medmodel.Model) (*medmodel.SeriesSet, error)) {
+		models, fails, err := medmodel.FitAll(context.Background(), ds, medmodel.FitOptions{MaxIter: 10})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(fails) > 0 {
+			b.Fatal(fails[0].Err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var pairs int
+		for i := 0; i < b.N; i++ {
+			s, err := reproduce(models)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pairs = len(s.Pairs)
+		}
+		b.ReportMetric(float64(pairs), "pairs/op")
+	}
+	small, _, err := micgen.Generate(micgen.Config{
 		Seed: 2, Months: 12, RecordsPerMonth: 500, BulkDiseases: 8, BulkMedicines: 10,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	models, fails, err := medmodel.FitAll(context.Background(), ds, medmodel.FitOptions{MaxIter: 10})
+	b.Run("small", func(b *testing.B) {
+		bench(b, small, func(models []*medmodel.Model) (*medmodel.SeriesSet, error) {
+			return medmodel.Reproduce(small, models)
+		})
+	})
+	bulk, _, err := micgen.Generate(micgen.Config{
+		Seed: 7, Months: 6, RecordsPerMonth: 4000, BulkDiseases: 1500, BulkMedicines: 1500,
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(fails) > 0 {
-		b.Fatal(fails[0].Err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := medmodel.Reproduce(ds, models); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("bulk_unfiltered", func(b *testing.B) {
+		bench(b, bulk, func(models []*medmodel.Model) (*medmodel.SeriesSet, error) {
+			return medmodel.ReproduceParallel(bulk, models, 1)
+		})
+	})
+	b.Run("bulk_filtered", func(b *testing.B) {
+		bench(b, bulk, func(models []*medmodel.Model) (*medmodel.SeriesSet, error) {
+			return medmodel.ReproduceFiltered(bulk, models, 1, 50)
+		})
+	})
 }
 
 // BenchmarkCodecRoundTrip measures dataset serialization + parsing.

@@ -159,12 +159,12 @@ func (e *Env) Series() (proposed, cooc *medmodel.SeriesSet, err error) {
 		return nil, nil, err
 	}
 	e.seriesOnce.Do(func() {
-		s, err := medmodel.Reproduce(e.Filtered, models)
+		s, err := medmodel.ReproduceFiltered(e.Filtered, models, e.Config.Workers, e.Config.MinSeriesTotal)
 		if err != nil {
 			e.seriesErr = err
 			return
 		}
-		e.series = s.FilterMinTotal(e.Config.MinSeriesTotal)
+		e.series = s
 		cs, err := medmodel.ReproduceCooccurrence(e.Filtered, coocs)
 		if err != nil {
 			e.seriesErr = err

@@ -31,7 +31,6 @@ func (e *Env) SampleSeries() ([]LabeledSeries, error) {
 	var out []LabeledSeries
 
 	diseases := series.Diseases()
-	sort.Slice(diseases, func(a, b int) bool { return diseases[a] < diseases[b] })
 	if max > 0 && len(diseases) > max {
 		diseases = diseases[:max]
 	}
@@ -40,7 +39,6 @@ func (e *Env) SampleSeries() ([]LabeledSeries, error) {
 	}
 
 	meds := series.Medicines()
-	sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
 	if max > 0 && len(meds) > max {
 		meds = meds[:max]
 	}

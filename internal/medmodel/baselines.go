@@ -39,6 +39,21 @@ func (c *Cooccurrence) ProbMedicine(r *mic.Record, med mic.MedicineID) float64 {
 // PhiRow returns the cooccurrence φ_d.
 func (c *Cooccurrence) PhiRow(d mic.DiseaseID) map[mic.MedicineID]float64 { return c.Phi[d] }
 
+// Responsibility for the cooccurrence baseline implements the paper's
+// straightforward approach verbatim (§III-A): "assume the number of
+// cooccurrences between each disease and medicine in MIC data as the
+// prescription count". Every distinct disease of the record receives the
+// full count for each medicine occurrence — deliberately NOT normalized, so
+// frequent comorbid diseases (hypertension) soak up counts for unrelated
+// medicines, the mis-prediction Figure 2a illustrates.
+func (c *Cooccurrence) Responsibility(r *mic.Record, med mic.MedicineID) map[mic.DiseaseID]float64 {
+	out := make(map[mic.DiseaseID]float64, len(r.Diseases))
+	for _, dc := range r.Diseases {
+		out[dc.Disease] = 1
+	}
+	return out
+}
+
 // Unigram is the paper's weaker baseline: a record-independent medicine
 // frequency model (Song & Croft style language model).
 type Unigram struct {

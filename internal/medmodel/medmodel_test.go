@@ -318,7 +318,6 @@ func TestFilterMinTotal(t *testing.T) {
 		{Disease: 0, Medicine: 0}: {5, 6},
 		{Disease: 0, Medicine: 1}: {1, 0},
 	}}
-	s.buildMarginals()
 	f := s.FilterMinTotal(10)
 	if len(f.Pairs) != 1 {
 		t.Fatalf("filtered pairs = %d, want 1", len(f.Pairs))
@@ -338,7 +337,6 @@ func TestRankMedicines(t *testing.T) {
 		{Disease: 0, Medicine: 2}: {1},
 		{Disease: 1, Medicine: 0}: {99}, // other disease must not interfere
 	}}
-	s.buildMarginals()
 	ranked := RankMedicines([]*SeriesSet{s}, 0)
 	if len(ranked) != 3 || ranked[0] != 1 || ranked[1] != 0 || ranked[2] != 2 {
 		t.Fatalf("ranked = %v", ranked)

@@ -10,8 +10,8 @@ import (
 
 // TestReproduceParallelMatchesSerial pins the parallel reproduce contract:
 // every worker count yields bit-identical series to the serial Reproduce,
-// because each month accumulates locally in record order and merges into its
-// own series slot.
+// because each month sums its pairs in record order and merges into its own
+// series slot.
 func TestReproduceParallelMatchesSerial(t *testing.T) {
 	ds, _, err := micgen.Generate(micgen.Config{
 		Seed: 9, Months: 10, RecordsPerMonth: 400, BulkDiseases: 6, BulkMedicines: 8,
@@ -38,10 +38,10 @@ func TestReproduceParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(serial.Pairs, par.Pairs) {
 			t.Fatalf("workers=%d: pair series differ from serial reproduce", workers)
 		}
-		if !reflect.DeepEqual(serial.diseaseSeries, par.diseaseSeries) {
+		if !reflect.DeepEqual(serial.diseases, par.diseases) {
 			t.Fatalf("workers=%d: disease marginals differ from serial reproduce", workers)
 		}
-		if !reflect.DeepEqual(serial.medicineSeries, par.medicineSeries) {
+		if !reflect.DeepEqual(serial.medicines, par.medicines) {
 			t.Fatalf("workers=%d: medicine marginals differ from serial reproduce", workers)
 		}
 	}

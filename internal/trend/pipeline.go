@@ -618,12 +618,11 @@ func prepare(ctx context.Context, ds *mic.Dataset, opts Options, ins *pipelineIn
 		}
 	}
 	endRepro := ins.stage("reproduce", -1)
-	series, err := medmodel.ReproduceParallel(filtered, models, opts.Workers)
+	series, err := medmodel.ReproduceFiltered(filtered, models, opts.Workers, opts.MinSeriesTotal)
 	if err != nil {
 		endRepro(0, err)
 		return nil, nil, nil, fmt.Errorf("trend: reproducing series: %w", err)
 	}
-	series = series.FilterMinTotal(opts.MinSeriesTotal)
 
 	analysis.Models = models
 	analysis.Series = series
@@ -697,14 +696,10 @@ func sortFailures(fs []Failure) {
 // collectJobs enumerates every series to search, deterministically ordered.
 func collectJobs(series *medmodel.SeriesSet) []Detection {
 	var jobs []Detection
-	diseases := series.Diseases()
-	sort.Slice(diseases, func(a, b int) bool { return diseases[a] < diseases[b] })
-	for _, d := range diseases {
+	for _, d := range series.Diseases() {
 		jobs = append(jobs, Detection{Kind: KindDisease, Disease: d, Series: series.Disease(d)})
 	}
-	meds := series.Medicines()
-	sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
-	for _, m := range meds {
+	for _, m := range series.Medicines() {
 		jobs = append(jobs, Detection{Kind: KindMedicine, Medicine: m, Series: series.Medicine(m)})
 	}
 	pairs := make([]mic.Pair, 0, len(series.Pairs))

@@ -227,7 +227,7 @@ func (s *Surveillance) Node(k SeriesKey) *SurveilNode {
 // substitution pairs.
 //
 // Surveil shares Analyze's contracts. Determinism: the roll-up consumes the
-// deterministically merged ReproduceParallel series in sorted id order and
+// deterministically merged ReproduceFiltered series in sorted id order and
 // every scan is worker-invariant, so the Surveillance tree is byte-identical
 // for any Workers/ScanWorkers/Shards split. Failure degradation: a failed or
 // panicked aggregate scan degrades that node only (recorded in
@@ -370,16 +370,14 @@ func Surveil(ctx context.Context, ds *mic.Dataset, opts SurveilOptions) (*Survei
 }
 
 // buildNodes rolls the reproduced series up the hierarchy in sorted id/code
-// order, so the aggregates inherit ReproduceParallel's bit-exact determinism.
+// order, so the aggregates inherit ReproduceFiltered's bit-exact determinism.
 // It returns the node list (classes, class groups, disease groups — each
 // sorted by code) and the class-code → node-index lookup.
 func buildNodes(series *medmodel.SeriesSet, h Hierarchy) ([]SurveilNode, map[string]int) {
 	var nodes []SurveilNode
 
-	meds := series.Medicines()
-	sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
 	classMembers := make(map[string][]mic.MedicineID)
-	for _, m := range meds {
+	for _, m := range series.Medicines() {
 		if class, ok := h.MedicineClass[m]; ok {
 			classMembers[class] = append(classMembers[class], m)
 		}
@@ -415,10 +413,8 @@ func buildNodes(series *medmodel.SeriesSet, h Hierarchy) ([]SurveilNode, map[str
 		nodes = append(nodes, node)
 	}
 
-	diseases := series.Diseases()
-	sort.Slice(diseases, func(a, b int) bool { return diseases[a] < diseases[b] })
 	dgMembers := make(map[string][]mic.DiseaseID)
-	for _, d := range diseases {
+	for _, d := range series.Diseases() {
 		if group, ok := h.DiseaseGroup[d]; ok {
 			dgMembers[group] = append(dgMembers[group], d)
 		}

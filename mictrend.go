@@ -484,8 +484,8 @@ func ReproduceSeries(d *Dataset, models []*MedicationModel) (*SeriesSet, error) 
 
 // ReproduceSeriesParallel is ReproduceSeries fanned out over workers
 // month-wise (0 = GOMAXPROCS). The result is bit-identical to the serial
-// reproduction for every worker count: each month accumulates locally in
-// record order and the merge is pure placement.
+// reproduction for every worker count: each month sums its pairs in record
+// order and the merge is pure placement.
 func ReproduceSeriesParallel(d *Dataset, models []*MedicationModel, workers int) (*SeriesSet, error) {
 	return medmodel.ReproduceParallel(d, models, workers)
 }
