@@ -448,6 +448,38 @@ func BenchmarkEMFit(b *testing.B) {
 	}
 }
 
+// BenchmarkFitAllBulk measures the model stage of the paper-shaped
+// corpus-bulk workload on one worker: FitAll with the default EM options
+// over 24 months of a 1500×1500 bulk vocabulary (micgen seed 7, 8000
+// nominal records per month), after the pipeline's MinMonthlyFreq 5 filter.
+// iters/op is the total number of EM iterations over the months.
+func BenchmarkFitAllBulk(b *testing.B) {
+	ds, _, err := micgen.Generate(micgen.Config{
+		Seed: 7, Months: 24, RecordsPerMonth: 8000, BulkDiseases: 1500, BulkMedicines: 1500,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds = mic.FilterDataset(ds, mic.FilterOptions{MinMonthlyFreq: 5})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var iters int
+	for i := 0; i < b.N; i++ {
+		models, fails, err := medmodel.FitAll(context.Background(), ds, medmodel.FitOptions{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(fails) > 0 {
+			b.Fatal(fails[0].Err)
+		}
+		iters = 0
+		for _, m := range models {
+			iters += m.Iterations
+		}
+	}
+	b.ReportMetric(float64(iters), "iters/op")
+}
+
 // BenchmarkSSMFitSeasonal measures one maximum-likelihood fit of the full
 // structural model on a 43-month series, the unit cost C_KF·optimizer of
 // §V-B.

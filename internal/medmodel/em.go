@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -38,7 +38,7 @@ type FitOptions struct {
 	// obs.Guard to intercept the panic); it never crashes a fit worker.
 	Observer obs.Observer
 	// Metrics, when non-nil, collects EM instrumentation: per-month
-	// iteration counts and E/M sweep vs likelihood timing. Nil costs
+	// iteration counts and the timing of each fused EM sweep. Nil costs
 	// nothing on the fit path.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives one "em/month" span per month from
@@ -74,152 +74,246 @@ func (o FitOptions) withDefaults() FitOptions {
 	return o
 }
 
-// emIndex is the dense-indexed (CSR-style) view of one month's usable
-// records, built once per Fit so the EM iterations run as flat array
-// arithmetic instead of map-of-maps lookups. Diseases of the month are
-// interned to contiguous indices; φ lives in one value array addressed
-// through per-disease row ranges; and every (record, medicine occurrence,
-// disease) triple the E-step touches is resolved to its position in that
-// array ahead of time — the inner loop then performs no hashing at all.
-type emIndex struct {
-	diseases []mic.DiseaseID // interned disease ids, ascending
-	rowStart []int           // row d occupies [rowStart[d], rowStart[d+1]) below
+// support is the Eq. 10 cooccurrence support of one month's records in CSR
+// form: diseases ascending, row d holding its medicines ascending in
+// rowMed[rowStart[d]:rowStart[d+1]], with the matching φ values in val.
+type support struct {
+	diseases []mic.DiseaseID
+	rowStart []int
 	rowMed   []mic.MedicineID
-	val      []float64 // current φ iterate
-	next     []float64 // Eq. 5 numerator accumulator
-	rowSum   []float64 // Eq. 5 denominator accumulator, per disease
+	val      []float64
+}
 
-	// Per-record dense θ (Eq. 2): record r owns slots
-	// [thetaStart[r], thetaStart[r+1]).
+// newSupport builds the cooccurrence support and its Eq. 10 estimate without
+// maps. It writes one (disease, medicine) key per disease entry × medicine
+// occurrence and radix-sorts the keys; each run of equal keys is one support
+// entry, and the run's length is its cooccurrence count. Counts and row sums
+// are exact integers, so φ₀ = count/rowSum does not depend on the order they
+// were counted in. The key buffers are garbage once this returns.
+func newSupport(recs []*mic.Record) support {
+	n := 0
+	for _, r := range recs {
+		n += len(r.Diseases) * len(r.Medicines)
+	}
+	keys := make([]uint64, 0, n)
+	for _, r := range recs {
+		for _, dc := range r.Diseases {
+			for _, med := range r.Medicines {
+				keys = append(keys, pairKey(dc.Disease, med))
+			}
+		}
+	}
+	keys = radixSortKeys(keys, make([]uint64, n))
+	entries, rows := 0, 0
+	for i, k := range keys {
+		if i == 0 || k != keys[i-1] {
+			entries++
+			if i == 0 || k>>32 != keys[i-1]>>32 {
+				rows++
+			}
+		}
+	}
+	s := support{
+		diseases: make([]mic.DiseaseID, 0, rows),
+		rowStart: make([]int, 0, rows+1),
+		rowMed:   make([]mic.MedicineID, 0, entries),
+		val:      make([]float64, 0, entries),
+	}
+	for i, k := range keys {
+		if i > 0 && k == keys[i-1] {
+			s.val[len(s.val)-1]++
+			continue
+		}
+		p := keyPair(k)
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			s.diseases = append(s.diseases, p.Disease)
+			s.rowStart = append(s.rowStart, len(s.rowMed))
+		}
+		s.rowMed = append(s.rowMed, p.Medicine)
+		s.val = append(s.val, 1)
+	}
+	s.rowStart = append(s.rowStart, len(s.rowMed))
+	for d := range s.diseases {
+		row := s.val[s.rowStart[d]:s.rowStart[d+1]]
+		var sum float64
+		for _, c := range row {
+			sum += c
+		}
+		for i := range row {
+			row[i] /= sum
+		}
+	}
+	return s
+}
+
+// radixSortKeys sorts a with the LSD radix sort of radixSort, on bare keys,
+// using tmp (as long as a) as the other buffer. It is a copy rather than a
+// shared generic with a key function because the indirect key call made
+// reproduction's sort measurably slower.
+func radixSortKeys(a, tmp []uint64) []uint64 {
+	var count [8][256]int
+	for _, k := range a {
+		for b := range count {
+			count[b][byte(k>>(8*b))]++
+		}
+	}
+	for b := range count {
+		n := &count[b]
+		if len(a) == 0 || n[byte(a[0]>>(8*b))] == len(a) {
+			continue
+		}
+		sum := 0
+		for i, k := range n {
+			n[i] = sum
+			sum += k
+		}
+		for _, k := range a {
+			i := byte(k >> (8 * b))
+			tmp[n[i]] = k
+			n[i]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
+}
+
+// phiMap converts the dense rows back to the public map representation,
+// dropping rows and entries that carry no mass (mirroring the sparsity the
+// map-based accumulation produced).
+func (s *support) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
+	out := make(map[mic.DiseaseID]map[mic.MedicineID]float64, len(s.diseases))
+	for di, d := range s.diseases {
+		lo, hi := s.rowStart[di], s.rowStart[di+1]
+		var row map[mic.MedicineID]float64
+		for i := lo; i < hi; i++ {
+			if s.val[i] <= 0 {
+				continue
+			}
+			if row == nil {
+				row = make(map[mic.MedicineID]float64, hi-lo)
+			}
+			row[s.rowMed[i]] = s.val[i]
+		}
+		if row != nil {
+			out[d] = row
+		}
+	}
+	return out
+}
+
+// emIndex is the dense-indexed view of one month's usable records, built
+// once per Fit so the EM iterations run as flat array arithmetic: φ lives in
+// the support's rows (val is the current iterate), and every (medicine
+// occurrence, disease) pair the E-step touches is resolved to its position
+// in val ahead of time.
+type emIndex struct {
+	support
+	next   []float64 // Eq. 5 numerator accumulator
+	rowSum []float64 // Eq. 5 denominator accumulator, per disease
+
+	// Per-record dense θ (Eq. 2) in first-occurrence order, for the records
+	// with at least one slot: record r owns slots [thetaStart[r],
+	// thetaStart[r+1]) and numMeds[r] medicine occurrences.
 	thetaStart []int
-	thetaDis   []int32 // interned disease index per slot
+	thetaDis   []int32 // disease row per slot
 	thetaVal   []float64
+	numMeds    []int
 
-	// Occurrence table: record r's o-th medicine occurrence and θ-slot s map
-	// to pos[occStart[r]+o*slots(r)+s], an index into val, or -1 when the
-	// (disease, medicine) pair is outside the cooccurrence support.
-	occStart []int
-	pos      []int32
+	// Occurrence table, records in order: record r's o-th occurrence and
+	// slot s map to the next pos entry, an index into val. Every disease of
+	// a usable record cooccurs with the record's medicines, so each slot has
+	// a row and each (slot, occurrence) pair is in the support.
+	pos []int32
 
-	numMeds []int // medicine occurrences per record
+	w []float64 // θ·φ per slot of the current occurrence
 }
 
 // newEMIndex interns the records against the cooccurrence support (which
 // also provides the φ initialization, Eq. 10).
 func newEMIndex(recs []*mic.Record) *emIndex {
-	phi := cooccurrencePhi(recs)
-	ix := &emIndex{}
-
-	ix.diseases = make([]mic.DiseaseID, 0, len(phi))
-	for d := range phi {
-		ix.diseases = append(ix.diseases, d)
-	}
-	sort.Slice(ix.diseases, func(a, b int) bool { return ix.diseases[a] < ix.diseases[b] })
-	diseaseIdx := make(map[mic.DiseaseID]int32, len(ix.diseases))
-	ix.rowStart = make([]int, len(ix.diseases)+1)
-	for di, d := range ix.diseases {
-		diseaseIdx[d] = int32(di)
-		row := phi[d]
-		meds := make([]mic.MedicineID, 0, len(row))
-		for med := range row {
-			meds = append(meds, med)
-		}
-		sort.Slice(meds, func(a, b int) bool { return meds[a] < meds[b] })
-		for _, med := range meds {
-			ix.rowMed = append(ix.rowMed, med)
-			ix.val = append(ix.val, row[med])
-		}
-		ix.rowStart[di+1] = len(ix.rowMed)
-	}
+	ix := &emIndex{support: newSupport(recs)}
 	ix.next = make([]float64, len(ix.val))
 	ix.rowSum = make([]float64, len(ix.diseases))
-
-	ix.thetaStart = make([]int, len(recs)+1)
-	ix.occStart = make([]int, len(recs)+1)
-	ix.numMeds = make([]int, len(recs))
-	slotOf := make(map[mic.DiseaseID]int) // scratch, cleared per record
-	for r, rec := range recs {
-		n := rec.NumDiseaseMentions()
-		if n > 0 {
-			// θ_rd accumulated per entry in record order — the same
-			// quotient-sum Theta computes, but at a deterministic slot.
-			for _, dc := range rec.Diseases {
-				s, ok := slotOf[dc.Disease]
-				if !ok {
-					s = len(ix.thetaVal) - ix.thetaStart[r]
-					slotOf[dc.Disease] = s
-					di, inSupport := diseaseIdx[dc.Disease]
-					if !inSupport {
-						di = -1
-					}
-					ix.thetaDis = append(ix.thetaDis, di)
-					ix.thetaVal = append(ix.thetaVal, 0)
-				}
-				ix.thetaVal[ix.thetaStart[r]+s] += float64(dc.Count) / float64(n)
-			}
-		}
-		for d := range slotOf {
-			delete(slotOf, d)
-		}
-		ix.thetaStart[r+1] = len(ix.thetaVal)
-		slots := ix.thetaStart[r+1] - ix.thetaStart[r]
-
-		ix.numMeds[r] = len(rec.Medicines)
-		for _, med := range rec.Medicines {
-			for s := 0; s < slots; s++ {
-				di := ix.thetaDis[ix.thetaStart[r]+s]
-				p := int32(-1)
-				if di >= 0 {
-					lo, hi := ix.rowStart[di], ix.rowStart[di+1]
-					row := ix.rowMed[lo:hi]
-					j := sort.Search(len(row), func(k int) bool { return row[k] >= med })
-					if j < len(row) && row[j] == med {
-						p = int32(lo + j)
-					}
-				}
-				ix.pos = append(ix.pos, p)
-			}
-		}
-		ix.occStart[r+1] = len(ix.pos)
+	entries, occs := 0, 0
+	for _, r := range recs {
+		entries += len(r.Diseases)
+		occs += len(r.Diseases) * len(r.Medicines)
 	}
+	ix.thetaStart = make([]int, 1, len(recs)+1)
+	ix.numMeds = make([]int, 0, len(recs))
+	ix.thetaDis = make([]int32, 0, entries)
+	ix.thetaVal = make([]float64, 0, entries)
+	ix.pos = make([]int32, 0, occs)
+	var dis []mic.DiseaseID // the record's distinct diseases, first-occurrence order
+	maxSlots := 0
+	for _, rec := range recs {
+		n := rec.NumDiseaseMentions()
+		if n <= 0 {
+			continue
+		}
+		// θ_rd accumulated per entry in record order, as Theta does.
+		ts := len(ix.thetaVal)
+		dis = dis[:0]
+		for _, dc := range rec.Diseases {
+			s := slices.Index(dis, dc.Disease)
+			if s < 0 {
+				s = len(dis)
+				dis = append(dis, dc.Disease)
+				di, _ := slices.BinarySearch(ix.diseases, dc.Disease)
+				ix.thetaDis = append(ix.thetaDis, int32(di))
+				ix.thetaVal = append(ix.thetaVal, 0)
+			}
+			ix.thetaVal[ts+s] += float64(dc.Count) / float64(n)
+		}
+		ix.thetaStart = append(ix.thetaStart, len(ix.thetaVal))
+		ix.numMeds = append(ix.numMeds, len(rec.Medicines))
+		for _, med := range rec.Medicines {
+			for _, di := range ix.thetaDis[ts:] {
+				lo, hi := ix.rowStart[di], ix.rowStart[di+1]
+				j, _ := slices.BinarySearch(ix.rowMed[lo:hi], med)
+				ix.pos = append(ix.pos, int32(lo+j))
+			}
+		}
+		maxSlots = max(maxSlots, len(dis))
+	}
+	ix.w = make([]float64, maxSlots)
 	return ix
 }
 
-// iterate performs one EM step (Eqs. 5–6): distribute each medicine
-// occurrence across its record's diseases proportionally to θ_rd·φ_dm, then
-// renormalize every φ row.
-func (ix *emIndex) iterate() {
-	for i := range ix.next {
-		ix.next[i] = 0
-	}
-	for i := range ix.rowSum {
-		ix.rowSum[i] = 0
-	}
-	for r := range ix.numMeds {
-		ts := ix.thetaStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		if slots == 0 {
-			continue
-		}
-		theta := ix.thetaVal[ts : ts+slots]
-		dis := ix.thetaDis[ts : ts+slots]
-		base := ix.occStart[r]
-		for o := 0; o < ix.numMeds[r]; o++ {
-			blk := ix.pos[base+o*slots : base+(o+1)*slots]
+// estep distributes each medicine occurrence across its record's diseases
+// proportionally to θ_rd·φ_dm (Eq. 6) into the Eq. 5 accumulators. The
+// per-occurrence normaliser Σ_s θ_s·φ_{d_s m} is the occurrence's
+// probability, so with logLik set it also returns the Φ part of Eq. 3 under
+// the current φ.
+func (ix *emIndex) estep(logLik bool) float64 {
+	clear(ix.next)
+	clear(ix.rowSum)
+	var ll float64
+	pos := ix.pos
+	for r, nm := range ix.numMeds {
+		ts, te := ix.thetaStart[r], ix.thetaStart[r+1]
+		theta, dis := ix.thetaVal[ts:te], ix.thetaDis[ts:te]
+		w := ix.w[:len(theta)]
+		for range nm {
+			blk := pos[:len(theta)]
+			pos = pos[len(theta):]
 			var denom float64
 			for s, p := range blk {
-				if p >= 0 {
-					denom += theta[s] * ix.val[p]
+				w[s] = theta[s] * ix.val[p]
+				denom += w[s]
+			}
+			if logLik {
+				p := denom
+				if p <= 0 {
+					p = math.SmallestNonzeroFloat64
 				}
+				ll += math.Log(p)
 			}
 			if denom <= 0 {
 				continue
 			}
 			for s, p := range blk {
-				if p < 0 {
-					continue
-				}
-				q := theta[s] * ix.val[p] / denom
+				q := w[s] / denom
 				if q == 0 {
 					continue
 				}
@@ -228,73 +322,23 @@ func (ix *emIndex) iterate() {
 			}
 		}
 	}
-	for d := range ix.rowSum {
-		sum := ix.rowSum[d]
+	return ll
+}
+
+// mstep renormalizes every φ row from the E-step's accumulators (Eq. 5).
+func (ix *emIndex) mstep() {
+	for d, sum := range ix.rowSum {
 		lo, hi := ix.rowStart[d], ix.rowStart[d+1]
 		if sum <= 0 {
 			// The row lost all mass: zero it, the dense-index equivalent of
 			// deleting the map row (lookups read 0 either way).
-			for i := lo; i < hi; i++ {
-				ix.val[i] = 0
-			}
+			clear(ix.val[lo:hi])
 			continue
 		}
 		for i := lo; i < hi; i++ {
 			ix.val[i] = ix.next[i] / sum
 		}
 	}
-}
-
-// logLik computes the Φ part of Eq. 3 under the current φ iterate.
-func (ix *emIndex) logLik() float64 {
-	var ll float64
-	for r := range ix.numMeds {
-		ts := ix.thetaStart[r]
-		slots := ix.thetaStart[r+1] - ts
-		if slots == 0 {
-			continue
-		}
-		theta := ix.thetaVal[ts : ts+slots]
-		base := ix.occStart[r]
-		for o := 0; o < ix.numMeds[r]; o++ {
-			blk := ix.pos[base+o*slots : base+(o+1)*slots]
-			var p float64
-			for s, pp := range blk {
-				if pp >= 0 {
-					p += theta[s] * ix.val[pp]
-				}
-			}
-			if p <= 0 {
-				p = math.SmallestNonzeroFloat64
-			}
-			ll += math.Log(p)
-		}
-	}
-	return ll
-}
-
-// phiMap converts the dense rows back to the public map representation,
-// dropping rows and entries that carry no mass (mirroring the sparsity the
-// map-based accumulation produced).
-func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
-	out := make(map[mic.DiseaseID]map[mic.MedicineID]float64, len(ix.diseases))
-	for di, d := range ix.diseases {
-		lo, hi := ix.rowStart[di], ix.rowStart[di+1]
-		var row map[mic.MedicineID]float64
-		for i := lo; i < hi; i++ {
-			if ix.val[i] <= 0 {
-				continue
-			}
-			if row == nil {
-				row = make(map[mic.MedicineID]float64, hi-lo)
-			}
-			row[ix.rowMed[i]] = ix.val[i]
-		}
-		if row != nil {
-			out[d] = row
-		}
-	}
-	return out
 }
 
 // Fit estimates the latent-variable medication model for one month with the
@@ -305,6 +349,11 @@ func (ix *emIndex) phiMap() map[mic.DiseaseID]map[mic.MedicineID]float64 {
 // over a dense index interned once per call, so iterations are flat array
 // arithmetic; the fitted Φ is converted back to the map representation the
 // Model API exposes. Results are deterministic.
+//
+// Each iteration is an M-step followed by the next E-step, whose normalisers
+// also give the log-likelihood of the φ the M-step produced; the first E-step
+// runs on the cooccurrence start, and the last one's accumulators are
+// discarded.
 func Fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error) {
 	opts = opts.withDefaults()
 	recs, err := usableRecords(month)
@@ -318,30 +367,27 @@ func Fit(month *mic.Monthly, vocabMedicines int, opts FitOptions) (*Model, error
 		M:   vocabMedicines,
 	}
 
-	// Timers resolve to nil when metrics are off, so the disabled loop pays
-	// one pointer check per iteration and allocates nothing.
-	var tIterate, tLogLik *obs.Timer
+	// The timer resolves to nil when metrics are off, so the disabled loop
+	// pays one pointer check per iteration, reads no clock and allocates
+	// nothing.
+	var tIterate *obs.Timer
 	if m := opts.Metrics; m != nil {
 		tIterate = m.Timer("time/em/iterate")
-		tLogLik = m.Timer("time/em/loglik")
 	}
 
+	ix.estep(false)
 	prevLL := math.Inf(-1)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		var t0 time.Time
 		if tIterate != nil {
 			t0 = time.Now()
 		}
-		ix.iterate()
+		ix.mstep()
+		ll := ix.estep(true)
 		if tIterate != nil {
 			tIterate.Observe(time.Since(t0))
-			t0 = time.Now()
 		}
 		model.Iterations = iter + 1
-		ll := ix.logLik()
-		if tLogLik != nil {
-			tLogLik.Observe(time.Since(t0))
-		}
 		model.LogLik = ll
 		if opts.TraceConvergence {
 			model.LogLikTrace = append(model.LogLikTrace, ll)
@@ -618,34 +664,12 @@ func FallbackModel(month *mic.Monthly, vocabMedicines int) *Model {
 	return model
 }
 
-// cooccurrencePhi computes the Eq. 10 estimate used both as the Cooccurrence
-// baseline and as EM initialization. Cooc_r(d, m) counts each occurrence of
-// medicine m in a record once per distinct disease d of the record.
+// cooccurrencePhi computes the Eq. 10 estimate used as the Cooccurrence
+// baseline, as EM initialization and as the fallback model. Cooc_r(d, m)
+// counts each occurrence of medicine m in a record once per disease entry of
+// the record: a record listing d twice counts each of its medicine
+// occurrences twice for d.
 func cooccurrencePhi(recs []*mic.Record) map[mic.DiseaseID]map[mic.MedicineID]float64 {
-	phi := make(map[mic.DiseaseID]map[mic.MedicineID]float64)
-	rowSums := make(map[mic.DiseaseID]float64)
-	for _, r := range recs {
-		for _, dc := range r.Diseases {
-			row, ok := phi[dc.Disease]
-			if !ok {
-				row = make(map[mic.MedicineID]float64)
-				phi[dc.Disease] = row
-			}
-			for _, med := range r.Medicines {
-				row[med]++
-				rowSums[dc.Disease]++
-			}
-		}
-	}
-	for d, row := range phi {
-		sum := rowSums[d]
-		if sum <= 0 {
-			delete(phi, d)
-			continue
-		}
-		for med := range row {
-			row[med] /= sum
-		}
-	}
-	return phi
+	s := newSupport(recs)
+	return s.phiMap()
 }

@@ -135,8 +135,8 @@ func smooth(p float64, m int) float64 {
 	return (1-UniformSmoothing)*p + UniformSmoothing/float64(m)
 }
 
-// validateMonth checks that the month has records usable for fitting and
-// returns them.
+// usableRecords returns the month's records that have both diseases and
+// medicines, or ErrEmptyMonth when there are none.
 func usableRecords(month *mic.Monthly) ([]*mic.Record, error) {
 	var recs []*mic.Record
 	for i := range month.Records {
