@@ -178,27 +178,11 @@ func TestAllocGuardRails(t *testing.T) {
 		t.Errorf("medmodel.Fit: %.0f allocs, budget 600", emAllocs)
 	}
 
-	// One warm-started exact change point scan (the BenchmarkExactScanParallel
-	// workload), serial and sharded.
+	// One prefix-checkpointed exact scan of a 43-month break series (the
+	// BenchmarkExactScanPrefix workload). The scan fits an order of magnitude
+	// fewer models than one fit per candidate, and its checkpoint resumes
+	// reuse the scanner's buffers.
 	y := syntheticBreakSeries(43, 20)
-	scan := func(workers int) float64 {
-		return testing.AllocsPerRun(1, func() {
-			if _, err := changepoint.DetectExactParallel(y, true, changepoint.ParallelOptions{Workers: workers, WarmStart: true}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if n := scan(1); n > 24000 { // measured baseline: 22878
-		t.Errorf("warm exact scan (serial): %.0f allocs, budget 24000", n)
-	}
-	if n := scan(8); n > 24500 { // measured baseline: 23195
-		t.Errorf("warm exact scan (8 workers): %.0f allocs, budget 24500", n)
-	}
-
-	// One prefix-checkpointed exact scan of the same series. The scan fits an
-	// order of magnitude fewer models, and its checkpoint resumes reuse the
-	// scanner's buffers, so its allocation budget sits far below the warm
-	// scan's.
 	prefixAllocs := testing.AllocsPerRun(1, func() {
 		if _, err := changepoint.DetectExactPrefix(y, true, changepoint.PrefixOptions{Workers: 1}); err != nil {
 			t.Fatal(err)

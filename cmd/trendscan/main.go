@@ -210,7 +210,6 @@ func run() int {
 		minTotal      = flag.Float64("min-total", 10, "minimum total frequency for a series to be analyzed")
 		top           = flag.Int("top", 20, "number of strongest changes to print per kind")
 		workers       = flag.Int("workers", 0, "worker pool size for model fitting and change point detection (0 = GOMAXPROCS)")
-		shards        = flag.Int("shards", 0, "partition the series universe by disease into this many detection shards (0/1 = single dispatcher; results identical for every value)")
 		scanWorkers   = flag.Int("scan-workers", 0, "max workers one exact change point scan may claim from the shared -workers budget (0 = auto: soak up idle workers, 1 = serial scans)")
 		emerging      = flag.Int("emerging", 0, "also project the detected upward prescription trends this many months ahead")
 		hierarchy     = flag.Bool("hierarchy", false, "roll series up the class hierarchy, scan the aggregates, and emit a drill-down surveillance report (hierarchy from the catalog under -generate, else from -hierarchy-file)")
@@ -315,7 +314,6 @@ func run() int {
 	opts.MinSeriesTotal = *minTotal
 	opts.Workers = *workers
 	opts.ScanWorkers = *scanWorkers
-	opts.Shards = *shards
 	switch *method {
 	case "exact":
 		opts.Method = trend.MethodExact

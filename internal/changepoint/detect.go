@@ -32,23 +32,26 @@ type Result struct {
 	NoChangeAIC float64
 	// Fits counts distinct model fits performed, the cost measure behind
 	// the paper's Table V. In the memoized serial searches it is the cache
-	// miss count; in the parallel exact scan every evaluated candidate is
-	// fitted exactly once (plus, under WarmStart, the refinement pass's
-	// cold refits of the near-winning candidates). Either way the count
-	// depends only on the series, its length, and the search method — never
-	// on worker scheduling — so it is deterministic under concurrent
-	// evaluation.
+	// miss count; in the prefix-checkpointed exact scan it counts the
+	// anchor, contender, and cold refit fits (never the checkpoint resumes).
+	// Either way the count depends only on the series, its length, and the
+	// search method — never on worker scheduling — so it is deterministic
+	// under concurrent evaluation.
 	Fits int
 }
 
 // Detected reports whether a change point was found.
 func (r Result) Detected() bool { return r.ChangePoint != ssm.NoChangePoint }
 
+// scanFault is the fault-injection site shared by the searches' model fits
+// (Exact and Binary through the memoizing evaluator, ExactPrefix on each of
+// its fits); its detail is the candidate month being fitted.
+const scanFault = "changepoint/candidate"
+
 // evaluator memoizes AIC evaluations so shared endpoints in the binary
-// search cost one fit. It backs the serial searches only and is not safe
-// for concurrent use; ExactParallel needs no memo (each candidate is
-// evaluated exactly once) and shards candidates across private
-// FitEvaluators instead.
+// search cost one fit. It backs the serial searches (Exact and Binary) and
+// is not safe for concurrent use; ExactPrefix fits its own contenders and
+// needs no memo.
 type evaluator struct {
 	f     AICFunc
 	cache map[int]float64
@@ -221,9 +224,8 @@ func findWithin(e *evaluator, left, right int) (int, error) {
 // goroutine-safe (the workspace is mutable scratch) and neither are the
 // Exact/Binary drivers that consume it. The goroutine-safe entry points are
 // the Detect* functions — each call builds its own evaluator, so any number
-// of searches over different series may run concurrently — and
-// ExactParallel/DetectExactParallelContext, which parallelize within one
-// search by giving each worker a private evaluator via SSMFitEvaluator.
+// of searches over different series may run concurrently — and ExactPrefix,
+// whose contender workers each fit on a private Kalman workspace.
 func SSMEvaluator(y []float64, seasonal bool) AICFunc {
 	return SSMEvaluatorStats(y, seasonal, nil)
 }

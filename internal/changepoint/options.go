@@ -20,15 +20,20 @@ const (
 	SearchExact SearchMethod = iota
 	// SearchBinary is the approximate Algorithm 2 (O(log T) fits).
 	SearchBinary
-	// SearchExactParallel is Algorithm 1 on the candidate-sharded,
-	// warm-started scan: identical selection to SearchExact (the refinement
-	// pass compares contenders at serial AICs), different Fits accounting.
+	// SearchExactParallel runs as SearchExactPrefix at the same Workers: the
+	// change point is selected by the prefix scan, Result.Fits counts prefix
+	// fits, and the provenance record's Method reads "exact-prefix".
+	//
+	// Deprecated: use SearchExactPrefix.
 	SearchExactParallel
 	// SearchExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator:
 	// shared-parameter AIC ladders scored by checkpoint resumes replace the
 	// fit-per-candidate sweep, with warm contender fits and the cold
-	// refinement pass arbitrating the final selection at serial AICs. Same
-	// selection contract as SearchExact, O(1)+O(contenders) fits.
+	// refinement pass arbitrating the final selection at serial AICs, at
+	// O(1)+O(contenders) fits. The ladders screen candidates by an upper
+	// bound on their AIC, so agreement with SearchExact is a tested
+	// property (TestExactPrefixEquivalence and the corpus regression
+	// TestPrefixScanSelectionMatchesColdOnCorpus), not a proven one.
 	SearchExactPrefix
 )
 
@@ -53,12 +58,13 @@ type DetectOptions struct {
 	Method SearchMethod
 	// Seasonal enables the 12-month seasonal component.
 	Seasonal bool
-	// Workers is the shard worker count for SearchExactParallel (≤0 =
-	// GOMAXPROCS); ignored by the serial methods. Any value yields identical
-	// results.
+	// Workers bounds the concurrency of SearchExactPrefix's contender warm
+	// fits (≤0 = 1); ignored by SearchExact and SearchBinary. Any value
+	// yields identical results.
 	Workers int
-	// Grain overrides the parallel scan's shard size (0 = DefaultGrain);
-	// ignored by the serial methods.
+	// Grain is ignored by every search method.
+	//
+	// Deprecated: no search reads it.
 	Grain int
 	// Stats, when non-nil, accumulates the search's optimizer accounting
 	// (Kalman likelihood evaluations, multi-start restarts, failures). It
@@ -75,18 +81,20 @@ type DetectOptions struct {
 	// never changes the search's numerics, and the record is deterministic
 	// under the same contract as Result.
 	Provenance *Provenance
-	// Trace, when non-nil, receives intra-scan spans (exact-parallel shard
-	// and refit spans; the serial methods emit none). Deliveries are
-	// panic-isolated like Observer's and may arrive from concurrent workers;
-	// a nil Trace costs nothing.
+	// Trace, when non-nil, receives SearchExactPrefix's intra-scan spans
+	// (one scan/prefix span per anchor ladder, one scan/contenders span, one
+	// scan/refit span per cold refit, all from the calling goroutine); the
+	// serial methods emit none. Deliveries are panic-isolated like
+	// Observer's; a nil Trace costs nothing.
 	Trace obs.SpanObserver
 }
 
-// ScanEvaluations returns how many distinct models the exact scan evaluates
-// for a series of length n: every admissible candidate plus the
-// intervention-free model. For the warm parallel scan,
-// Result.Fits − ScanEvaluations(n) is the refinement pass's cold refit
-// count; for the serial exact scan Result.Fits equals it exactly.
+// ScanEvaluations returns how many distinct models Algorithm 1 compares for
+// a series of length n: every admissible candidate plus the
+// intervention-free model. The serial exact scan fits each one, so its
+// Result.Fits equals ScanEvaluations(n) exactly; the prefix scan scores
+// them all but fits only its anchors, contenders, and refits, so its Fits
+// is usually far smaller (ssm.FitStats.Refits counts the refits).
 func ScanEvaluations(n int) int {
 	if c := maxCandidate(n); c >= 0 {
 		return c + 2
@@ -95,10 +103,11 @@ func ScanEvaluations(n int) int {
 }
 
 // Detect runs the selected change point search on series. It consolidates
-// the DetectExact/DetectBinary/DetectExactParallel entry points behind one
+// the DetectExact/DetectBinary/DetectExactPrefix entry points behind one
 // options struct: each method produces byte-identical results to its
 // dedicated function, with observability (DetectOptions.Stats,
 // DetectOptions.Observer) threaded through without touching the numerics.
+// The deprecated SearchExactParallel runs as SearchExactPrefix.
 // Cancellation surfaces as ctx's error within one in-flight model fit.
 func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, error) {
 	if ctx == nil {
@@ -120,14 +129,7 @@ func Detect(ctx context.Context, series []float64, opts DetectOptions) (Result, 
 	switch opts.Method {
 	case SearchBinary:
 		res, err = binary(len(series), ContextAIC(ctx, SSMEvaluatorStats(series, opts.Seasonal, opts.Stats)), opts.Provenance)
-	case SearchExactParallel:
-		res, err = ExactParallel(ctx, len(series), ParallelOptions{
-			Workers: opts.Workers, WarmStart: true, Grain: opts.Grain,
-			Provenance: opts.Provenance, Trace: obs.GuardSpans(opts.Trace, nil),
-		}, func() FitEvaluator {
-			return SSMFitEvaluatorStats(series, opts.Seasonal, opts.Stats)
-		})
-	case SearchExactPrefix:
+	case SearchExactPrefix, SearchExactParallel:
 		res, err = ExactPrefix(ctx, series, opts.Seasonal, PrefixOptions{
 			Workers: opts.Workers, Stats: opts.Stats,
 			Provenance: opts.Provenance, Trace: obs.GuardSpans(opts.Trace, nil),

@@ -24,9 +24,10 @@ import (
 // likelihood never beats the per-candidate optimum); candidates whose bound
 // is within prefixScreenMargin of the best fitted AIC are warm-fitted for
 // real, and the warm contenders within refineMargin are refitted cold, so
-// the final reduction compares exactly the serial scan's AICs. Everything
-// downstream of the (serial, deterministic) ladders depends only on the
-// series, so results and Fits are invariant to Workers.
+// the final reduction compares exactly the serial scan's AICs among the
+// contenders. The screen is the scan's one heuristic step (see ExactPrefix).
+// Everything downstream of the (serial, deterministic) ladders depends only
+// on the series, so results and Fits are invariant to Workers.
 
 // prefixFault is the fault-injection site inside the checkpoint-resume
 // ladder; its detail is the candidate month being scored.
@@ -43,6 +44,15 @@ const prefixFault = "changepoint/prefix-resume"
 // regression tests pin.
 const prefixScreenMargin = 6.0
 
+// refineMargin is the cold refinement band: warm contenders whose AIC is
+// within this margin of the provisional winner are refitted cold before the
+// final reduction. Warm-fit slack is on the order of the scan tolerance
+// (~1e-4, occasionally ~1e-2 on a multimodal likelihood), so a margin of 1 —
+// the conventional "indistinguishable models" AIC gap — comfortably pulls
+// the true winner into the cold-refit set while keeping the set small: the
+// AIC valley is steep away from its bottom.
+const refineMargin = 1.0
+
 // PrefixOptions configures the prefix-checkpointed exact scan.
 type PrefixOptions struct {
 	// Workers bounds the concurrency of the contender warm fits (≤0 = 1).
@@ -50,7 +60,7 @@ type PrefixOptions struct {
 	// refinement, and the reduction are serial and deterministic.
 	Workers int
 	// Stats, when non-nil, accumulates optimizer accounting plus the scan's
-	// PrefixResumes and SteadyHits counts. It never changes results.
+	// PrefixResumes, SteadyHits, and Refits counts. It never changes results.
 	Stats *ssm.FitStats
 	// Provenance, when non-nil, is filled with the scan's AIC ladder: every
 	// candidate in serial order, tagged PathPrefix (screened out at its
@@ -64,11 +74,15 @@ type PrefixOptions struct {
 	Trace obs.SpanObserver
 }
 
-// ExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator: the same
-// selection contract as Exact/ExactParallel — the AIC-minimizing candidate,
-// ties preferring no change point, compared at cold-fit AICs — at a fit
-// budget that is O(1) model fits plus O(contenders) instead of one fit per
-// candidate. Result.Fits counts the fits actually performed (anchors,
+// ExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator: it
+// selects the AIC-minimizing candidate, ties preferring no change point,
+// compared at cold-fit AICs, at a fit budget that is O(1) model fits plus
+// O(contenders) instead of one fit per candidate. Candidates reach the
+// comparison only through the ladder screen, which prunes by an upper bound
+// on each candidate's AIC; so the selection matches Exact on every series
+// the tests cover (TestExactPrefixEquivalence,
+// TestPrefixScanSelectionMatchesColdOnCorpus), but that is not proven for
+// every series. Result.Fits counts the fits actually performed (anchors,
 // contenders, refits) and is deterministic for a fixed series — Workers
 // never changes it.
 //
@@ -268,11 +282,14 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 
 	// Screen: each candidate's best ladder score — or, for a probed
 	// candidate, its achieved fit AIC if lower — bounds its true AIC from
-	// above, so anything beyond the margin of the best fitted AIC cannot
-	// win. Probe AICs never enter the reduction directly: a bisection probe
-	// warm-started from an unrelated candidate's optimum can settle in a bad
-	// local basin, far outside the refinement margin's slack contract, so
-	// every survivor is refitted uniformly from the final anchor below.
+	// above, and candidates whose bound lies beyond the margin of the best
+	// fitted AIC are dropped. An upper bound cannot rule a candidate out, so
+	// this step relies on the ladders being tight near the valley (see
+	// prefixScreenMargin). Probe AICs never enter the reduction directly: a
+	// bisection probe warm-started from an unrelated candidate's optimum can
+	// settle in a bad local basin, far outside the refinement margin's slack
+	// contract, so every survivor is refitted uniformly from the final anchor
+	// below.
 	var survivors []int
 	for cp := 0; cp <= hi; cp++ {
 		bound := screen[cp]
@@ -384,9 +401,9 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 	}
 	fits += len(survivors)
 
-	// Cold refinement, exactly the warm parallel scan's: contenders within
-	// refineMargin of the provisional winner are refitted cold so the final
-	// comparison uses the serial scan's AICs.
+	// Cold refinement: contenders within refineMargin of the provisional
+	// winner are refitted cold so the final comparison uses the serial
+	// scan's AICs. Stats.Refits counts these fits.
 	provisional2 := aic0
 	for _, aic := range warmAIC {
 		if aic < provisional2 {
@@ -418,6 +435,9 @@ func ExactPrefix(ctx context.Context, y []float64, seasonal bool, opts PrefixOpt
 		final[i] = aic
 		refitted[i] = true
 		fits++
+		if opts.Stats != nil {
+			opts.Stats.Refits.Add(1)
+		}
 	}
 
 	// Deterministic reduction with the serial scan's tie-breaking: strict

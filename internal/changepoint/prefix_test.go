@@ -3,13 +3,49 @@ package changepoint
 import (
 	"context"
 	"errors"
+	"math/rand/v2"
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	"mictrend/internal/faultpoint"
 	"mictrend/internal/ssm"
 )
+
+// randomSeries builds a seeded random-walk series, with a slope break at a
+// seed-dependent month on odd seeds so the property tests cover both the
+// detected and undetected outcomes.
+func randomSeries(seed uint64, n int) []float64 {
+	rng := rand.New(rand.NewPCG(seed, 991))
+	y := make([]float64, n)
+	level := 10 + rng.Float64()*20
+	cp := NoBreak
+	if seed%2 == 1 {
+		cp = n/3 + int(seed%uint64(n/3))
+	}
+	for t := range y {
+		level += rng.NormFloat64() * 0.3
+		y[t] = level + rng.NormFloat64()*0.5
+		if cp != NoBreak {
+			y[t] += 0.8 * ssm.InterventionRegressor(cp, t)
+		}
+	}
+	return y
+}
+
+// NoBreak marks seeds whose series carries no synthetic break.
+const NoBreak = -1
+
+// waitGoroutines polls until the goroutine count drops back to base or the
+// deadline passes, returning the final count.
+func waitGoroutines(base int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	return runtime.NumGoroutine()
+}
 
 // TestExactPrefixEquivalence is the tentpole's selection contract: the
 // prefix-checkpointed scan picks the serial exact scan's change point with
@@ -70,14 +106,16 @@ func TestExactPrefixEquivalence(t *testing.T) {
 
 // TestExactPrefixProvenance checks the scan's decision record: the full
 // ladder in serial order, the no-intervention model cold, every candidate
-// tagged prefix/warm/refit, and a refit-path winner carrying both AICs.
+// tagged prefix/warm/refit, a refit-path winner carrying both AICs, and
+// FitStats.Refits counting exactly the refit rungs.
 func TestExactPrefixProvenance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real scan")
 	}
 	y := randomSeries(1, 26)
 	var prov Provenance
-	res, err := ExactPrefix(context.Background(), y, false, PrefixOptions{Provenance: &prov})
+	stats := &ssm.FitStats{}
+	res, err := ExactPrefix(context.Background(), y, false, PrefixOptions{Provenance: &prov, Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +132,16 @@ func TestExactPrefixProvenance(t *testing.T) {
 	if first := prov.Candidates[0]; first.CP != ssm.NoChangePoint || first.Path != PathCold {
 		t.Fatalf("first rung = %+v, want the cold no-intervention fit", first)
 	}
-	var fitted, screened int
+	var fitted, screened, refits int
 	for i, c := range prov.Candidates[1:] {
 		if c.CP != i {
 			t.Fatalf("rung %d holds cp %d, want serial order", i+1, c.CP)
 		}
 		switch c.Path {
-		case PathWarm, PathRefit:
+		case PathRefit:
+			refits++
+			fitted++
+		case PathWarm:
 			fitted++
 		case PathPrefix:
 			screened++
@@ -118,6 +159,9 @@ func TestExactPrefixProvenance(t *testing.T) {
 	}
 	if fitted == 0 || screened == 0 {
 		t.Fatalf("ladder fitted %d / screened %d; the screen did no work", fitted, screened)
+	}
+	if got := stats.Refits.Load(); got != int64(refits) || refits == 0 {
+		t.Fatalf("stats.Refits = %d, want the %d refit rungs (and at least one)", got, refits)
 	}
 }
 

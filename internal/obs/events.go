@@ -119,8 +119,8 @@ func Guard(cb Observer, onPanic func(r any)) Observer {
 }
 
 // Sequencer re-orders per-unit completions from concurrent workers into
-// serial (index) order, mirroring the parallel scan's deterministic
-// reduction: unit i's emit callback runs only after units 0..i-1 have
+// serial (index) order, mirroring the exact scans' deterministic
+// reductions: unit i's emit callback runs only after units 0..i-1 have
 // emitted, under the sequencer's lock (so emits are also mutually
 // serialized). Workers call Done once per unit, in any order; emits for
 // indices past a permanent hole (a unit that will never report, e.g. after

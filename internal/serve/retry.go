@@ -115,7 +115,9 @@ func (p RetryPolicy) Do(ctx context.Context, op func() error, onRetry func(attem
 }
 
 func (p RetryPolicy) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
+	// A context cancelled before the backoff starts must win outright: once
+	// the timer has also fired, the select below would pick either case.
+	if d <= 0 || ctx.Err() != nil {
 		return ctx.Err()
 	}
 	if p.Sleep != nil {

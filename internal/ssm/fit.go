@@ -19,7 +19,7 @@ import (
 // observability layer: how many Kalman likelihood evaluations a search paid,
 // how often the multi-start recovery had to restart, and how many fits
 // failed outright. Fields are atomic, so one FitStats may be shared by every
-// worker of a parallel scan; the totals are sums of exact integers and
+// contender worker of a prefix scan; the totals are sums of exact integers and
 // therefore deterministic for any worker split. A nil *FitStats disables
 // collection at the cost of one pointer check per fit — the hot per-candidate
 // path stays allocation-free either way.
@@ -44,6 +44,10 @@ type FitStats struct {
 	// PrefixResumes counts candidate scores resumed from a prefix checkpoint
 	// by the prefix-checkpointed change point scan.
 	PrefixResumes atomic.Int64
+	// Refits counts the prefix-checkpointed scan's cold refits: contenders
+	// whose warm AIC landed within the refinement margin of the provisional
+	// winner and were fitted again from the cold starts.
+	Refits atomic.Int64
 }
 
 // Merge folds src's counts into s (either may be nil; both no-op).
@@ -58,6 +62,7 @@ func (s *FitStats) Merge(src *FitStats) {
 	s.FitFailures.Add(src.FitFailures.Load())
 	s.SteadyHits.Add(src.SteadyHits.Load())
 	s.PrefixResumes.Add(src.PrefixResumes.Load())
+	s.Refits.Add(src.Refits.Load())
 }
 
 // ErrSeriesTooShort is returned when a series is shorter than the model can
@@ -86,9 +91,9 @@ type FitOptions struct {
 	// starts; because the multi-start loop keeps the first converged finite
 	// start, a good warm start wins outright and a bad one (wrong length
 	// aside, which is an error) merely falls through to the cold starts. The
-	// change point scan threads each candidate's OptParams into its
-	// neighbor's Start, exploiting the AIC valley's near-identical adjacent
-	// optimization problems.
+	// prefix change point scan seeds every contender's Start with its final
+	// ladder anchor's OptParams, exploiting the near-identical optimization
+	// problems of candidates in one AIC valley.
 	//
 	// A warm fit optimizes at scan precision, not estimation precision: the
 	// simplex starts as a small absolute neighborhood of Start
@@ -548,9 +553,9 @@ func AICAtWorkspace(y []float64, seasonal bool, cp int, ws *kalman.Workspace) (f
 	return fit.AIC, nil
 }
 
-// AICAtStart is AICAtWorkspace extended for warm-started scans: start (nil
+// AICAtStart is AICAtWorkspace extended for warm-started fits: start (nil
 // for a cold fit) seeds the optimizer, and the returned opt is the fitted
-// optimum's parameters — the warm start for the next candidate.
+// optimum's parameters — a warm start for a later fit.
 func AICAtStart(y []float64, seasonal bool, cp int, ws *kalman.Workspace, start []float64) (aic float64, opt []float64, err error) {
 	return AICAtOptions(y, seasonal, cp, ws, FitOptions{Start: start})
 }

@@ -84,9 +84,9 @@ func exactCorpus(t *testing.T) *faultEnv {
 }
 
 // TestAnalyzeExactDeterministicAcrossBudgetSplits pins the two-level
-// budget's contract: detections from the exact (warm-started, parallel)
-// scan are byte-identical for every Workers × ScanWorkers split, because
-// scan shards are carved by grain, never by worker count.
+// budget's contract: detections from the exact (prefix-checkpointed) scan
+// are byte-identical for every Workers × ScanWorkers split, because each
+// contender fit depends only on its own candidate, never on worker count.
 func TestAnalyzeExactDeterministicAcrossBudgetSplits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("pipeline test is heavy")

@@ -34,14 +34,16 @@ type Method = changepoint.SearchMethod
 
 // Search methods.
 const (
-	// MethodExact is Algorithm 1. The pipeline runs it on the warm-started
-	// parallel scan (selection identical to the serial scan) whenever the
-	// worker budget grants a scan more than one token.
+	// MethodExact is Algorithm 1. The pipeline runs it on the
+	// prefix-checkpointed scan (changepoint.SearchExactPrefix), whose
+	// contender fits use the idle tokens the worker budget grants.
 	MethodExact = changepoint.SearchExact
 	// MethodBinary is Algorithm 2.
 	MethodBinary = changepoint.SearchBinary
-	// MethodExactParallel requests the parallel scan explicitly; within the
-	// pipeline it behaves exactly like MethodExact (same scan, same budget).
+	// MethodExactParallel behaves exactly like MethodExact within the
+	// pipeline (same prefix scan, same budget).
+	//
+	// Deprecated: use MethodExact.
 	MethodExactParallel = changepoint.SearchExactParallel
 )
 
@@ -115,12 +117,9 @@ type Options struct {
 	// inside the scan instead of idling cores. 1 forces serial scans.
 	// Results are identical for every setting; only wall-clock changes.
 	ScanWorkers int
-	// Shards partitions the series universe by disease (medicine-kind
-	// series by medicine) into this many shards, each with its own
-	// dispatcher over the shared worker budget. Detections merge by global
-	// job index, so the analysis is byte-identical for every Shards value —
-	// sharding only changes which dispatcher feeds a series to the pool.
-	// 0 or 1 keeps the single dispatcher.
+	// Shards is ignored: one dispatcher feeds the worker budget.
+	//
+	// Deprecated: the pipeline has a single dispatcher.
 	Shards int
 	// EM tunes the medication model fit. EM.Workers defaults to Workers, and
 	// EM.Observer/EM.Metrics default to the pipeline's Observer/Metrics.
@@ -142,8 +141,8 @@ type Options struct {
 	// Trace, when non-nil, receives the run's timed spans: one stage span per
 	// pipeline stage, one em/month span per month, one detect/series span per
 	// series (degraded series carry their failure stage), and the exact
-	// scans' shard/refit spans. Wire obs.NewTracer().Observe here and write
-	// the collected spans with Tracer.WriteTrace. Span content is
+	// scans' ladder/contender/refit spans. Wire obs.NewTracer().Observe here
+	// and write the collected spans with Tracer.WriteTrace. Span content is
 	// deterministic for a given input — only timestamps vary — and per-unit
 	// spans arrive in serial order. Deliveries are panic-isolated like
 	// Observer's (a panicking sink is muted and recorded as a StageObserver
@@ -435,11 +434,7 @@ func (ins *pipelineInstruments) seriesDone(job Detection, res changepoint.Result
 		if failErr == "" {
 			m.Counter("scan/fits").Add(int64(res.Fits))
 			if ins.exact {
-				evals := changepoint.ScanEvaluations(len(job.Series))
-				m.Counter("scan/candidates").Add(int64(evals))
-				if refits := res.Fits - evals; refits > 0 {
-					m.Counter("scan/warm_refits").Add(int64(refits))
-				}
+				m.Counter("scan/candidates").Add(int64(changepoint.ScanEvaluations(len(job.Series))))
 			}
 		}
 		m.Timer("time/scan/series").Observe(dur)
@@ -465,6 +460,9 @@ func (ins *pipelineInstruments) addFitStats(stats *ssm.FitStats) {
 	m.Counter("ssm/fit_failures").Add(stats.FitFailures.Load())
 	m.Counter("kalman/steady_hits").Add(stats.SteadyHits.Load())
 	m.Counter("scan/prefix_resumes").Add(stats.PrefixResumes.Load())
+	if refits := stats.Refits.Load(); refits > 0 {
+		m.Counter("scan/warm_refits").Add(refits)
+	}
 }
 
 // finish folds the run-level accounting into the analysis and registry:
@@ -721,37 +719,12 @@ func collectJobs(series *medmodel.SeriesSet) []Detection {
 	return jobs
 }
 
-// shardJobs partitions job indices into shards: disease- and prescription-
-// kind series shard by disease id, medicine-kind by medicine id, so every
-// series of one disease (and its pairs) lands in one shard. Within a shard,
-// indices stay in global job order.
-func shardJobs(jobs []Detection, shards int) [][]int {
-	if shards <= 1 {
-		all := make([]int, len(jobs))
-		for i := range jobs {
-			all[i] = i
-		}
-		return [][]int{all}
-	}
-	lists := make([][]int, shards)
-	for i, job := range jobs {
-		var s int
-		if job.Kind == KindMedicine {
-			s = int(job.Medicine) % shards
-		} else {
-			s = int(job.Disease) % shards
-		}
-		lists[s] = append(lists[s], i)
-	}
-	return lists
-}
-
 // detectAll runs change point detection over the jobs with a two-level
 // worker budget: a shared pool of Options.Workers tokens admits series
 // (level one), and each admitted exact scan opportunistically claims idle
-// tokens to shard its own candidate set (level two, see workerBudget). A
-// wide batch behaves like the old flat pool; a narrow batch or a draining
-// tail moves the idle tokens into intra-series scan parallelism.
+// tokens for its contender fits (level two, see workerBudget). A wide batch
+// behaves like a flat pool; a narrow batch or a draining tail moves the idle
+// tokens into intra-series scan parallelism.
 //
 // The pool is fault-tolerant and cancellable: a worker panic or a failed
 // search is confined to its series (recorded as a Failure), and cancelling
@@ -798,31 +771,20 @@ func detectAll(ctx context.Context, jobs []Detection, opts Options, ins *pipelin
 		}
 		out <- o
 	}
-	// Partition the series universe into shards — by disease for disease-
-	// and prescription-kind series, by medicine for medicine-kind ones — and
-	// give each shard its own dispatcher over the shared budget. Outcomes
-	// carry their global job index, so assembly below is shard-agnostic and
-	// the analysis is byte-identical for any Shards value.
-	shardLists := shardJobs(jobs, opts.Shards)
+	// One dispatcher admits jobs in order as budget tokens free. Outcomes
+	// carry their job index, so assembly below is completion-order-agnostic.
 	go func() {
-		var dwg, wg sync.WaitGroup
+		var wg sync.WaitGroup
 		defer func() {
-			dwg.Wait()
 			wg.Wait()
 			close(out)
 		}()
-		for _, list := range shardLists {
-			dwg.Add(1)
-			go func(list []int) {
-				defer dwg.Done()
-				for _, i := range list {
-					if budget.acquire(ctx) != nil {
-						return
-					}
-					wg.Add(1)
-					go run(i, &wg)
-				}
-			}(list)
+		for i := range jobs {
+			if budget.acquire(ctx) != nil {
+				return
+			}
+			wg.Add(1)
+			go run(i, &wg)
 		}
 	}()
 
@@ -896,12 +858,12 @@ func detectAll(ctx context.Context, jobs []Detection, opts Options, ins *pipelin
 }
 
 // runDetection searches one series with panic isolation: a crash anywhere in
-// the model fitting stack fails this series only (the parallel scan
-// re-panics shard crashes on this goroutine, so the recover here covers
+// the model fitting stack fails this series only (the prefix scan re-panics
+// contender-worker crashes on this goroutine, so the recover here covers
 // them too). The cancelled return distinguishes a context abort (not a
 // series failure) from a genuine one. budget supplies the scan's level-two
 // extra workers; nil runs the scan serially. trace receives the scan's
-// shard/refit spans; prov is the series' decision provenance (non-nil only
+// ladder/contender/refit spans; prov is the series' decision provenance (non-nil only
 // under Options.Explain, and kept — possibly partial — on failure).
 func runDetection(ctx context.Context, job Detection, opts Options, budget *workerBudget, stats *ssm.FitStats, trace obs.SpanObserver) (det Detection, fail *Failure, cancelled bool, prov *changepoint.Provenance) {
 	det = job

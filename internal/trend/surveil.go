@@ -229,7 +229,7 @@ func (s *Surveillance) Node(k SeriesKey) *SurveilNode {
 // Surveil shares Analyze's contracts. Determinism: the roll-up consumes the
 // deterministically merged ReproduceFiltered series in sorted id order and
 // every scan is worker-invariant, so the Surveillance tree is byte-identical
-// for any Workers/ScanWorkers/Shards split. Failure degradation: a failed or
+// for any Workers/ScanWorkers split. Failure degradation: a failed or
 // panicked aggregate scan degrades that node only (recorded in
 // Surveillance.Failures with StageSurveil); observer panics mute the
 // observer and keep the run alive. Observability: the model/reproduce stages

@@ -66,7 +66,7 @@
 // WritePrometheus) and over expvar (Metrics.PublishExpvar).
 //
 // Deeper inspection is options-first too: a Tracer collects timed spans of
-// every stage, month fit, series detection, and scan shard as a
+// every stage, month fit, series detection, and intra-scan phase as a
 // Perfetto-loadable Chrome trace, and Explain records why each change point
 // was (or was not) selected:
 //
@@ -84,7 +84,7 @@
 // options-first shape:
 //
 //	res, err := mictrend.DetectChangePoint(ctx, series, mictrend.DetectOptions{
-//		Method:   mictrend.SearchExactParallel,
+//		Method:   mictrend.SearchExactPrefix,
 //		Seasonal: true,
 //	})
 package mictrend
@@ -535,15 +535,20 @@ const (
 	SearchExact = changepoint.SearchExact
 	// SearchBinary is the approximate Algorithm 2 (O(log T) fits).
 	SearchBinary = changepoint.SearchBinary
-	// SearchExactParallel is Algorithm 1 on the candidate-sharded,
-	// warm-started scan; it selects the same change point as SearchExact for
-	// any worker count.
+	// SearchExactParallel runs the prefix scan: DetectChangePoint treats it
+	// as SearchExactPrefix at the same Workers, so the change point is
+	// selected by the prefix scan and ChangePointResult.Fits counts prefix
+	// fits.
+	//
+	// Deprecated: use SearchExactPrefix.
 	SearchExactParallel = changepoint.SearchExactParallel
 	// SearchExactPrefix is Algorithm 1 on the prefix-checkpointed evaluator:
 	// shared-parameter AIC ladders scored by checkpoint resumes screen the
-	// candidates down to a handful of real fits. Selection is byte-identical
-	// to SearchExact for any worker count; the pipeline's exact method uses
-	// it by default.
+	// candidates down to a handful of real fits, and the survivors are
+	// compared at SearchExact's cold-fit AICs. The screen prunes by an upper
+	// bound on each candidate's AIC, so matching SearchExact is tested (on
+	// random series and a generated corpus), not proven; the result is
+	// identical for any worker count. The pipeline's exact method uses it.
 	SearchExactPrefix = changepoint.SearchExactPrefix
 )
 
@@ -570,14 +575,13 @@ func DetectChangePointBinary(series []float64, seasonal bool) (ChangePointResult
 	return DetectChangePoint(context.Background(), series, DetectOptions{Method: SearchBinary, Seasonal: seasonal})
 }
 
-// DetectChangePointExactParallel runs Algorithm 1 with the candidate-sharded,
-// warm-started parallel scan: workers (0 = GOMAXPROCS) shard the candidate
-// months, each seeding its fits from the previous candidate's optimum. The
-// selected change point matches the serial exact scan; see
-// changepoint.ParallelOptions for the exact determinism contract.
+// DetectChangePointExactParallel runs Algorithm 1 on the prefix scan, exactly
+// as SearchExactPrefix with workers contender workers (≤0 = 1): the change
+// point is selected by the prefix scan and ChangePointResult.Fits counts its
+// fits.
 //
 // Deprecated: use DetectChangePoint with DetectOptions{Method:
-// SearchExactParallel, Workers: workers}.
+// SearchExactPrefix, Workers: workers}.
 func DetectChangePointExactParallel(series []float64, seasonal bool, workers int) (ChangePointResult, error) {
 	return DetectChangePoint(context.Background(), series, DetectOptions{
 		Method: SearchExactParallel, Seasonal: seasonal, Workers: workers,
@@ -625,15 +629,17 @@ const (
 
 // Change point search methods for AnalysisOptions.Method. These are the
 // same constants as the Search* values; the pipeline runs MethodExact (and
-// MethodExactParallel) on the warm-started parallel scan under its worker
+// MethodExactParallel) on the prefix-checkpointed scan under its worker
 // budget.
 const (
 	// MethodExact is the paper's Algorithm 1.
 	MethodExact = trend.MethodExact
 	// MethodBinary is the paper's Algorithm 2.
 	MethodBinary = trend.MethodBinary
-	// MethodExactParallel requests the parallel scan explicitly; within the
-	// pipeline it behaves exactly like MethodExact.
+	// MethodExactParallel behaves exactly like MethodExact within the
+	// pipeline (same prefix scan, same budget).
+	//
+	// Deprecated: use MethodExact.
 	MethodExactParallel = trend.MethodExactParallel
 )
 
@@ -750,7 +756,7 @@ func NewClassHierarchy(d *Dataset, medicineClass, classGroup, diseaseGroup map[s
 // the series (or reuse SurveilOptions.Analysis), roll them up the hierarchy,
 // scan the aggregates, attribute detected breaks down to members, and flag
 // offsetting substitutions. It shares AnalyzeTrendsContext's contracts:
-// options-first, deterministic for any Workers/Shards split, degrading
+// options-first, deterministic for any Workers/ScanWorkers split, degrading
 // per-node on failure, observable through the same Observer/Metrics/Trace
 // hooks, and cancellable with partial results.
 func Surveil(ctx context.Context, d *Dataset, opts SurveilOptions) (*Surveillance, error) {
